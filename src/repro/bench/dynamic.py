@@ -18,7 +18,8 @@ from repro.bench.format import render_table
 from repro.exec import Executor, RunSpec, default_executor
 from repro.indexes.bplustree import BPlusTree
 from repro.params import CacheParams, IXCACHE_ENERGY_FJ, SimParams
-from repro.sim.engine import Engine, WalkTrace
+from repro.sim.batch import TraceBatch
+from repro.sim.engine import Engine
 from repro.sim.memsys import make_memsys
 from repro.mem.dram import DRAM
 from repro.workloads.keygen import zipf_stream
@@ -61,7 +62,9 @@ def mix_cell(
         e_access=IXCACHE_ENERGY_FJ if kind.startswith("metal") else 7_000.0,
     )
     memsys = make_memsys(kind, cache_params=params)
-    traces: list[WalkTrace] = []
+    # The tree mutates between walks, so walks are generated one at a
+    # time by the scalar emitters and timed by the columnar batch loop.
+    batch = TraceBatch()
     ok = True
     for i in range(num_ops):
         if pending and rng.random() > read_fraction:
@@ -69,12 +72,12 @@ def mix_cell(
             tree.insert(key, key)
             present.append(key)
         key = present[lookup_keys[i % len(lookup_keys)] % len(present)]
-        traces.append(memsys.process_walk(tree, key))
+        batch.add_trace(memsys.process_walk(tree, key))
         if tree.get(key) != key:
             ok = False
     sim = SimParams()
     engine = Engine(sim, DRAM(sim.dram))
-    timing = engine.run(traces)
+    timing = engine.run_batch(batch)
     return {
         "makespan": timing.makespan,
         "avg_walk_latency": timing.avg_walk_latency,

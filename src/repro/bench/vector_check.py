@@ -1,13 +1,16 @@
 """Byte-identity gate for the vectorized batch core.
 
-The vectorized backends — the bucket-queue calendar engine
-(``SimParams.engine="bucket"``), batched walk generation
-(``SimParams.walk_batch > 0``), and the array DRAM decomposition they
-ride on — are pure performance substitutions: every ``RunResult`` they
-produce must serialize byte-for-byte identically to the scalar
-heap-engine, walk-at-a-time path. This module sweeps that claim across
-every memory system and a set of workloads and exits non-zero on the
-first divergence, so CI can hold the gate.
+Every timed, untraced, fault-free run takes the columnar batch pipeline
+(``repro.sim.batch`` + ``Engine.run_batch``). Its results must serialize
+byte-for-byte identically to the reference: the scalar walk-at-a-time
+trace generators timed by the general one-event-per-iteration engine
+loop, which a traced run takes (tracing is pinned not to change
+``RunResult.to_dict()`` apart from its ``counters``). The comparison also
+covers the state ``to_dict`` omits: per-walk start levels, IX-cache
+occupancy and the METAL controller's batch history. This module sweeps
+that claim across every memory system, both index backends and a set of
+workloads, and exits non-zero on the first divergence, so CI can hold
+the gate.
 
 Run as a module::
 
@@ -25,46 +28,79 @@ import json
 from dataclasses import replace
 from typing import Any, Iterable
 
-from repro.bench.runner import SYSTEMS, run_workload
+from repro.bench.runner import SYSTEMS, build_memsys
+from repro.sim.metrics import simulate
 from repro.workloads.suite import build_workload
 
 #: Exit code on divergence (mirrors harness.EXIT_CHECKSUM_MISMATCH).
 EXIT_MISMATCH = 3
 
-#: The vectorized configurations checked against the scalar reference.
-#: Each is a dict of SimParams overrides applied via dataclasses.replace.
+#: The batch-path configurations checked against the scalar reference.
+#: Each is a dict of SimParams overrides applied via dataclasses.replace:
+#: the default chunk size, and an odd one so chunk boundaries fall
+#: mid-stream everywhere.
 VARIANTS: tuple[tuple[str, dict[str, Any]], ...] = (
-    ("bucket", {"engine": "bucket"}),
-    ("batch", {"walk_batch": 256}),
-    ("both", {"engine": "bucket", "walk_batch": 256}),
+    ("batch", {}),
+    ("batch7", {"walk_batch": 7}),
 )
 
 #: Index storage backends the sweep covers. The SoA backend is where the
-#: batched walk path engages; the object backend must stay identical too
-#: (it falls back to scalar walks under walk_batch).
+#: batched walk path engages; on the object backend the batch path runs
+#: the scalar walk per request and must stay identical too.
 BACKENDS: tuple[str, ...] = ("soa", "object")
 
 
-def canonical(result: Any) -> str:
-    """The byte string compared: canonical JSON of RunResult.to_dict()."""
-    return json.dumps(result.to_dict(), sort_keys=True)
+def canonical(result: Any, memsys: Any) -> str:
+    """The byte string compared: canonical JSON of RunResult.to_dict().
+
+    The run's other observable outputs join it: the per-walk start
+    levels and, for METAL systems, the IX-cache occupancy by level and
+    the pattern controller's batch history — the state the adaptivity
+    and occupancy figures read, which ``to_dict`` omits.
+    """
+    data = dict(result.to_dict())
+    data.pop("counters", None)  # tracing-only by construction
+    data["start_levels"] = list(result.start_levels)
+    policy = getattr(memsys, "policy", None)
+    if policy is not None:
+        data["occupancy_by_level"] = {
+            str(level): n
+            for level, n in policy.cache.occupancy_by_level().items()
+        }
+        if policy.controller is not None:
+            data["controller_history"] = policy.controller.history
+    return json.dumps(data, sort_keys=True)
+
+
+def run_cell(workload: Any, system: str, sim: Any) -> str:
+    """One cell under ``sim``, as :func:`canonical` with its memsys."""
+    memsys = build_memsys(system, workload, sim=sim)
+    result = simulate(
+        memsys, workload.requests, sim, workload.total_index_blocks,
+        record_latencies=True,
+    )
+    return canonical(result, memsys)
+
+
+def reference_record(workload: Any, system: str) -> str:
+    """The scalar walks timed by the general engine loop (a traced run)."""
+    sim = replace(workload.config.sim_params(), trace=True)
+    return run_cell(workload, system, sim)
 
 
 def check_cell(
     workload_name: str, backend: str, system: str, scale: float,
 ) -> list[str]:
-    """Compare every vectorized variant of one (workload, system) cell.
+    """Compare every batch variant of one cell against the reference.
 
     Returns a list of mismatch descriptions (empty = identical).
     """
     workload = build_workload(workload_name, scale=scale, backend=backend)
     base_sim = workload.config.sim_params()
-    reference = canonical(run_workload(workload, system, sim=base_sim))
+    reference = reference_record(workload, system)
     mismatches = []
     for label, overrides in VARIANTS:
-        got = canonical(
-            run_workload(workload, system, sim=replace(base_sim, **overrides))
-        )
+        got = run_cell(workload, system, replace(base_sim, **overrides))
         if got != reference:
             detail = diff_keys(reference, got)
             mismatches.append(
@@ -107,7 +143,7 @@ def run_matrix(
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
-        description="scalar vs vectorized byte-identity matrix",
+        description="scalar reference vs batch path byte-identity matrix",
     )
     parser.add_argument("--scales", default="0.01",
                         help="comma-separated workload scales")
@@ -129,7 +165,7 @@ def main(argv: list[str] | None = None) -> int:
         for line in failures:
             print(f"  {line}")
         return EXIT_MISMATCH
-    print("ALL OK: vectorized backends byte-identical to scalar")
+    print("ALL OK: batch path byte-identical to the scalar reference")
     return 0
 
 

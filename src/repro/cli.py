@@ -219,9 +219,11 @@ def cmd_compare(args: argparse.Namespace) -> int:
     if getattr(args, "backend", None):
         workload_kwargs["backend"] = args.backend
     sim_kwargs = {}
-    if getattr(args, "engine", None):
-        sim_kwargs["engine"] = args.engine
     if getattr(args, "walk_batch", None) is not None:
+        if args.walk_batch < 1:
+            print(f"--walk-batch must be >= 1, got {args.walk_batch}",
+                  file=sys.stderr)
+            return 2
         sim_kwargs["walk_batch"] = args.walk_batch
     workload = build_workload(
         args.workload, scale=args.scale, seed=args.seed, **workload_kwargs
@@ -749,15 +751,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--systems", type=str, default=None,
                    help="comma-separated subset, e.g. stream,metal")
     p.add_argument("--cache-kb", type=int, default=None)
-    p.add_argument("--engine", choices=("heap", "bucket"), default=None,
-                   help="event engine (bucket = calendar queue; "
-                        "byte-identical results)")
     p.add_argument("--walk-batch", type=int, default=None,
-                   help="walks per vectorized batch (0 = scalar walks; "
+                   help="walks per vectorized chunk (>= 1; default 256; "
                         "byte-identical results)")
     p.add_argument("--backend", choices=("object", "soa"), default=None,
-                   help="index storage backend (soa enables batched "
-                        "walk generation)")
+                   help="B+tree index storage backend (default soa, which "
+                        "enables batched walk generation; byte-identical "
+                        "results)")
     p.add_argument("--jobs", type=str, default="1",
                    help="worker processes: a number or 'auto'")
     p.set_defaults(func=cmd_compare)

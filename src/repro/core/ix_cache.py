@@ -49,6 +49,28 @@ def _identity(k: int) -> int:
     return k
 
 
+def _default_victim(entries: list["IXEntry"]) -> int:
+    """Position of the default policy's victim, or -1 if all are pinned.
+
+    Every set list and the wide list are seq-ascending: entries are only
+    ever appended with a fresh ``seq``, and coalescing, hits and removals
+    keep the others in place. So the ``(utility, seq)``-minimal unpinned
+    entry that ``UtilityRRIPPolicy.select_victim`` picks is simply the
+    first unpinned entry of minimal utility.
+    """
+    best = -1
+    best_utility = _UTILITY_MAX + 1
+    for i, entry in enumerate(entries):
+        if entry.life <= 0:
+            utility = entry.utility
+            if utility < best_utility:
+                if utility == 0:
+                    return i  # no unpinned entry can rank lower
+                best = i
+                best_utility = utility
+    return best
+
+
 def block_bits_for(key_universe: int, params: CacheParams | None = None,
                    wide_fraction: float = 0.125) -> int:
     """Key-block bits that spread a key universe across the cache's sets.
@@ -80,12 +102,17 @@ class IXEntry:
 
     __slots__ = ("tag", "parts", "utility", "life", "nbytes", "seq", "stamp")
 
-    def __init__(self, tag: RangeTag, parts: list[tuple[RangeTag, IndexNode]], life: int = 0):
+    def __init__(
+        self, tag: RangeTag, parts: list[tuple[RangeTag, IndexNode]],
+        life: int = 0, nbytes: int | None = None,
+    ):
         self.tag = tag
         self.parts = parts
         self.utility = _UTILITY_INSERT
         self.life = life
-        self.nbytes = sum(min(n.byte_size(), BLOCK_SIZE) for _, n in parts)
+        if nbytes is None:  # callers that know the parts' bytes pass them
+            nbytes = sum(min(n.byte_size(), BLOCK_SIZE) for _, n in parts)
+        self.nbytes = nbytes
         self.seq = next(_entry_seq)
         self.stamp = 0
 
@@ -187,9 +214,6 @@ class IXCache:
 
     def set_of(self, key: int) -> int:
         return (key >> self.key_block_bits) % self.num_sets
-
-    def _key_block(self, key: int) -> int:
-        return key >> self.key_block_bits
 
     # ------------------------------------------------------------------ #
     # Hit path
@@ -335,7 +359,8 @@ class IXCache:
                         entry.life = max(entry.life, life)
                         return True
         block_bytes = self.params.block_bytes
-        node_bytes = min(node.byte_size(), block_bytes)
+        size = node.byte_size()
+        node_bytes = min(size, block_bytes)
         if self.coalesce and life == 0:
             # Case-3 coalescing: merge with an adjacent same-level small
             # entry. (A pinned insertion never coalesces — the original
@@ -388,7 +413,8 @@ class IXCache:
             if self.tracer.enabled:
                 self.tracer.emit("ix_bypass", level=tag.level, reason="pinned_set")
             return False
-        entry = IXEntry(tag, [(tag, node)], life)
+        entry = IXEntry(tag, [(tag, node)], life,
+                        nbytes=min(size, BLOCK_SIZE))
         if not self._default_policy:
             # The default's insertion metadata (utility 3) is already set
             # by the IXEntry constructor; other policies stamp here.
@@ -432,6 +458,26 @@ class IXCache:
         getting hit stay near the top of the counter range while
         streaming one-touch insertions churn at the bottom.
         """
+        # The default policy in one pass: select_victim, the lease
+        # decrement and epoch_decay folded together. A policy instance
+        # with methods replaced at runtime (anything in its instance
+        # dict) goes through the protocol like every other policy.
+        if self._default_policy and not self.policy.__dict__:
+            victim_at = _default_victim(entries)
+            if victim_at >= 0:
+                victim = entries[victim_at]
+                del entries[victim_at]
+                self.stats.evictions += 1
+                if self.tracer.enabled:
+                    self.tracer.emit("ix_evict", level=victim.tag.level,
+                                     utility=victim.utility, reason="utility")
+                decay = victim.utility > 0
+                for entry in entries:
+                    if entry.life > 0:
+                        entry.life -= 1
+                    if decay and entry.utility > 0:
+                        entry.utility -= 1
+                return True
         victims = [e for e in entries if e.life <= 0]
         if not victims:
             # Lifetime pins are advisory: rather than deadlocking a fully

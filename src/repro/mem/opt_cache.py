@@ -13,8 +13,9 @@ set, not policy. OPT needs the future, so we provide:
 from __future__ import annotations
 
 import heapq
-from collections import defaultdict
 from collections.abc import Sequence
+
+import numpy as np
 
 from repro.mem.stats import CacheStats
 from repro.params import CacheParams
@@ -25,40 +26,57 @@ def belady_hit_flags(trace: Sequence[int], capacity_blocks: int) -> list[bool]:
 
     Uses the classic next-use priority queue: on a fill conflict, evict the
     resident block whose next use is farthest in the future (or never).
-    Runs in O(n log n).
+    Every access's next use of the same block comes from one stable
+    argsort, so the loop keeps only each block's current next use; stale
+    heap entries are skipped lazily, and the heap is rebuilt from the
+    resident set whenever stale entries outnumber live ones, so it stays
+    O(capacity). Runs in O(n log n); ``trace`` may be a numpy array.
     """
+    n = len(trace)
     if capacity_blocks <= 0:
-        return [False] * len(trace)
+        return [False] * n
+    infinity = n + 1
+    blocks = np.asarray(trace, dtype=np.int64)
+    order = np.argsort(blocks, kind="stable")
+    same = blocks[order[1:]] == blocks[order[:-1]]
+    following = np.full(n, infinity, dtype=np.int64)
+    following[order[:-1][same]] = order[1:][same]
+    del order, same
 
-    next_use: dict[int, list[int]] = defaultdict(list)
-    for pos in reversed(range(len(trace))):
-        next_use[trace[pos]].append(pos)
-
-    resident: set[int] = set()
+    next_of: dict[int, int] = {}
     # Max-heap of (-next_position, block); stale entries are skipped lazily.
     heap: list[tuple[int, int]] = []
+    heap_limit = 4 * capacity_blocks + 64
+    heappush = heapq.heappush
+    heappop = heapq.heappop
     flags: list[bool] = []
-    infinity = len(trace) + 1
-
-    for pos, block in enumerate(trace):
-        uses = next_use[block]
-        uses.pop()  # drop the current position
-        upcoming = uses[-1] if uses else infinity
-        if block in resident:
-            flags.append(True)
-        else:
-            flags.append(False)
-            if len(resident) >= capacity_blocks:
-                while heap:
-                    neg_pos, victim = heapq.heappop(heap)
-                    victim_uses = next_use[victim]
-                    actual = victim_uses[-1] if victim_uses else infinity
-                    if victim in resident and -neg_pos == actual:
-                        resident.discard(victim)
-                        break
-            resident.add(block)
-        heapq.heappush(heap, (-upcoming, block))
+    append = flags.append
+    for start in range(0, n, _CHUNK):
+        for block, upcoming in zip(
+            blocks[start:start + _CHUNK].tolist(),
+            following[start:start + _CHUNK].tolist(),
+        ):
+            if block in next_of:
+                append(True)
+            else:
+                append(False)
+                if len(next_of) >= capacity_blocks:
+                    while heap:
+                        neg_pos, victim = heappop(heap)
+                        if next_of.get(victim) == -neg_pos:
+                            del next_of[victim]
+                            break
+            next_of[block] = upcoming
+            heappush(heap, (-upcoming, block))
+            if len(heap) > heap_limit:
+                # Same live entries, same pop order: only stale ones go.
+                heap = [(-u, b) for b, u in next_of.items()]
+                heapq.heapify(heap)
     return flags
+
+
+#: Accesses converted to Python ints at a time by belady_hit_flags.
+_CHUNK = 8192
 
 
 class BeladyCache:

@@ -148,20 +148,18 @@ class SimParams:
     #: None — and, contractually, any plan whose rates are all zero —
     #: leaves every hot path byte-identical to the fault-free simulator.
     faults: "FaultPlan | None" = None
-    #: Event-queue implementation: ``"heap"`` is the classic binary-heap
-    #: loop; ``"bucket"`` drains a cycle-indexed calendar queue, visiting
-    #: every context due at the same cycle in one pass. Contractually
-    #: byte-identical results (the bucket drain reproduces the heap's
-    #: (cycle, context) tie-break order exactly); traced and faulted runs
-    #: always take the general heap loop regardless of this setting.
-    engine: str = "heap"
-    #: Walk-generation chunk size for the vectorized batch pipeline: >0
-    #: routes timed, untraced, fault-free runs through
-    #: ``repro.sim.batch`` — numpy ``searchsorted`` path resolution over
-    #: SoA index levels plus a columnar access stream — in chunks of this
-    #: many requests. 0 (the default) keeps the scalar per-walk path.
-    #: Results are contractually byte-identical either way.
-    walk_batch: int = 0
+    #: Walk-generation chunk size of the vectorized pipeline that every
+    #: timed, untraced, fault-free run takes (``repro.sim.batch``): numpy
+    #: ``searchsorted`` path resolution over SoA index levels plus a
+    #: columnar access stream, built this many requests at a time. Only
+    #: peak memory and speed depend on it; results never do.
+    walk_batch: int = 256
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.walk_batch, int) or self.walk_batch < 1:
+            raise ValueError(
+                f"walk_batch must be an integer >= 1, got {self.walk_batch!r}"
+            )
 
 
 DEFAULT_SIM = SimParams()

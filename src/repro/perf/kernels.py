@@ -9,20 +9,21 @@ even when the timing looks plausible.
 
 The profiled hot paths these kernels pin down (see docs/performance.md):
 
-* ``engine_loop``   — :meth:`Engine.run` heap scheduling over mixed
-  DRAM/SRAM/compute access traces.
+* ``engine_loop``   — :meth:`Engine.run` (the general loop) heap
+  scheduling over mixed DRAM/SRAM/compute access traces.
 * ``dram_access``   — :meth:`DRAM.access` bank/row timing arithmetic.
 * ``ix_probe_fill`` — :class:`IXCache` insert + probe (set placement and
   range-tag match).
 * ``walk_gen``      — B+tree ``walk()`` plus the per-node
   :func:`_node_blocks` footprint used by every memory system.
 * ``simulate_e2e``  — the full ``build_memsys`` + :func:`simulate` cell
-  the bench matrix is made of (scan workload, METAL system), run on the
-  vectorized backend (SoA storage, bucket engine, batched walks). Its
+  the bench matrix is made of (scan workload, METAL system), run with
+  the defaults (SoA storage, batched walks, ``Engine.run_batch``). Its
   checksum is the scalar path's digest: drift means the byte-identity
   gate broke.
-* ``bucket_drain``      — the calendar-queue engine over the same traces
-  ``engine_loop`` times (same checksum: the engines are equivalent).
+* ``bucket_drain``      — :meth:`Engine.run_batch`, the calendar-queue
+  loop, over the same traces ``engine_loop`` times, converted once into
+  a ``TraceBatch`` (same checksum: the loops are equivalent).
 * ``batched_walk_gen``  — ``searchsorted`` chunk resolution through the
   SoA level arrays plus the vectorized block-count baseline.
 * ``vector_dram_decomp`` — array block->(bank,row) decomposition.
@@ -192,12 +193,20 @@ def _run_walks(state: Any) -> int:
 # --------------------------------------------------------------------- #
 
 
-def _run_bucket(traces: Any) -> int:
-    from repro.params import SimParams
+def _setup_bucket(scale: float) -> Any:
+    from repro.sim.batch import TraceBatch
+
+    batch = TraceBatch()
+    for trace in _setup_engine(scale):
+        batch.add_trace(trace)
+    return batch
+
+
+def _run_bucket(batch: Any) -> int:
     from repro.sim.engine import Engine
 
-    engine = Engine(SimParams(engine="bucket"))
-    result = engine.run(traces, record_latencies=True)
+    engine = Engine()
+    result = engine.run_batch(batch, record_latencies=True)
     return (result.makespan * 1_000_003
             + result.total_walk_cycles
             + sum(result.walk_latencies)) % (1 << 61)
@@ -263,17 +272,13 @@ def _run_vector_dram(addresses: Any) -> int:
 def _setup_simulate(scale: float) -> Any:
     from repro.workloads.suite import build_workload
 
-    return build_workload("scan", scale=scale, backend="soa")
+    return build_workload("scan", scale=scale)
 
 
 def _run_simulate(workload: Any) -> str:
-    from dataclasses import replace
-
     from repro.bench.runner import run_workload
 
-    sim = replace(workload.config.sim_params(), engine="bucket",
-                  walk_batch=256)
-    result = run_workload(workload, "metal", sim=sim)
+    result = run_workload(workload, "metal")
     return _checksum_json(result.to_dict())
 
 
@@ -287,15 +292,16 @@ KERNELS: dict[str, tuple[SetupFn, RunFn, str]] = {
                       "IXCache insert + probe (placement and range match)"),
     "walk_gen": (_setup_walks, _run_walks,
                  "B+tree walk() + per-node _node_blocks footprint"),
-    "bucket_drain": (_setup_engine, _run_bucket,
-                     "calendar-queue engine over the engine_loop traces"),
+    "bucket_drain": (_setup_bucket, _run_bucket,
+                     "Engine.run_batch calendar loop over the engine_loop "
+                     "traces"),
     "batched_walk_gen": (_setup_batched_walks, _run_batched_walks,
                          "searchsorted chunk walks + vectorized baseline"),
     "vector_dram_decomp": (_setup_vector_dram, _run_vector_dram,
                            "array block->(bank,row) DRAM decomposition"),
     "simulate_e2e": (_setup_simulate, _run_simulate,
-                     "build_memsys + simulate for scan/metal on the "
-                     "vectorized backend (to_dict digest)"),
+                     "build_memsys + simulate for scan/metal with the "
+                     "defaults (to_dict digest)"),
 }
 
 

@@ -4,25 +4,26 @@ The scalar path in :mod:`repro.sim.metrics` materializes one
 :class:`~repro.sim.engine.Access` object per timed step — roughly ten
 objects per walk — and re-derives every node footprint and DRAM bank
 split inside the event loop. This module replaces that representation
-for timed, untraced, fault-free runs:
+for every timed, untraced, fault-free run:
 
-* :class:`TraceBatch` — one columnar access stream for the whole run
-  (parallel ``kinds``/``a1``/``a2`` int lists plus per-walk offsets),
-  consumed by ``Engine.run_batch`` which vectorizes the block ->
-  (bank, row) decomposition up front (``DRAM.decompose``).
+* :class:`TraceBatch` — the columnar access stream, emitted one chunk
+  of walks at a time into parallel ``kinds``/``a1``/``a2`` int lists and
+  sealed after each chunk into compact int event rows with the block
+  -> (bank, row) decomposition done (``DRAM.decompose``), consumed by
+  ``Engine.run_batch``.
 * :class:`BatchWalkPlanner` — numpy walk generation over the SoA
   B+tree (:meth:`~repro.indexes.soa.SoABPlusTree.batch_positions`):
   one ``searchsorted`` per level per key chunk instead of one per
   (key, node), plus memoized per-node emission templates.
-* :func:`simulate_batched` — the drop-in twin of
-  :func:`repro.sim.metrics.simulate` for the gated configuration.
+* :func:`simulate_batched` — what :func:`repro.sim.metrics.simulate`
+  runs when neither tracing nor fault injection is on.
 
 Byte-identity with the scalar path is a hard contract: every field of
 ``RunResult.to_dict()`` — makespan, DRAM stats (including float energy,
 accumulated in the same event order), cache stats, working-set metrics,
-histograms — matches the scalar run bit for bit. ``tests/
-test_vector_equivalence.py`` and the CI ``vectorized-equivalence`` job
-enforce it across all six systems.
+histograms — matches the scalar walk + general engine loop bit for bit.
+``tests/test_vector_equivalence.py`` and the CI
+``vectorized-equivalence`` job enforce it across all six systems.
 
 Indexes without SoA level arrays (the object backend, skip lists,
 radix tables) and range-scan requests fall back to the scalar trace
@@ -44,6 +45,9 @@ from repro.sim.engine import Engine, K_DRAM, K_LATENCY, K_PREFETCH, K_SRAM
 from repro.sim.memsys import MemorySystem, _blocks_for, _node_blocks
 from repro.sim.metrics import RunResult
 from repro.workloads.stream import chunked
+
+#: Event-row values below this magnitude are stored as int32.
+_INT32 = 1 << 31
 
 #: Memoized small tuples for template assembly: a node with ``nb``
 #: blocks always emits ``nb`` DRAM entries plus one search step.
@@ -67,24 +71,40 @@ def _zeros_tuple(n: int) -> tuple[int, ...]:
     return t
 
 
+def _distinct(codes: np.ndarray) -> np.ndarray:
+    """Sorted distinct values of a non-negative int array.
+
+    ``np.unique`` without its lazy ``numpy.ma`` import, which would add
+    to every process that runs a simulation.
+    """
+    codes = np.sort(codes)
+    return codes[np.diff(codes, prepend=-1) != 0]
+
+
 class TraceBatch:
     """Columnar access stream for one run: the batch twin of WalkTrace.
 
-    Parallel lists hold one small int per timed step: ``kinds`` is the
-    K_* code, ``a1``/``a2`` the operands (address + write flag for DRAM,
-    port + service cycles for SRAM, cycles for latency-only steps).
-    ``offsets[i]:offsets[i+1]`` delimits walk ``i``. Multi-block
-    extents (data-object fetches) are pre-expanded to one entry per
-    64B block — exactly the per-offset loop the scalar engine runs.
+    Emitters append to the *pending* chunk: parallel lists holding one
+    small int per timed step — ``kinds`` is the K_* code, ``a1``/``a2``
+    the operands (address + write flag for DRAM, port + service cycles
+    for SRAM, cycles for latency-only steps) — with
+    ``offsets[i]:offsets[i+1]`` delimiting the chunk's walk ``i``.
+    Multi-block extents (data-object fetches) are pre-expanded to one
+    entry per 64B block, exactly the per-offset loop the scalar engine
+    runs. :meth:`seal` encodes the pending chunk into compact int
+    event rows for one engine and empties the lists, so a run never
+    holds more than one chunk of Python-level entries.
     """
 
     __slots__ = (
         "kinds", "a1", "a2", "offsets", "start_levels", "visits",
         "index_dram", "short_circuited", "full_hits", "nodes_visited",
-        "data_base", "_arrays",
+        "data_base", "window", "mem_count", "writes", "sram_count",
+        "touched_blocks", "_events", "_offsets", "_leads", "_ws_codes",
+        "_walks", "_rows", "_geometry",
     )
 
-    def __init__(self) -> None:
+    def __init__(self, window: int = 2_000) -> None:
         self.kinds: list[int] = []
         self.a1: list[int] = []
         self.a2: list[int] = []
@@ -96,21 +116,144 @@ class TraceBatch:
         self.full_hits = 0
         self.nodes_visited = 0
         self.data_base = Allocator.DATA_BASE
-        self._arrays: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        #: Walks per working-set window (``windowed_working_set``).
+        self.window = window
+        # Aggregates of the sealed stream, applied by Engine.run_batch.
+        self.mem_count = 0
+        self.writes = 0
+        self.sram_count = 0
+        self.touched_blocks: set[int] = set()
+        # Sealed chunks: event rows, walk offsets into them (past the
+        # leading 0), folded leading latencies, working-set codes.
+        self._events: list[np.ndarray] = [np.zeros((0, 4), dtype=np.int32)]
+        self._offsets: list[np.ndarray] = [np.zeros(1, dtype=np.int64)]
+        self._leads: list[np.ndarray] = [np.zeros(0, dtype=np.int64)]
+        self._ws_codes: list[np.ndarray] = [np.zeros(0, dtype=np.int64)]
+        self._walks = 0
+        self._rows = 0
+        self._geometry: tuple | None = None
 
-    @property
-    def num_walks(self) -> int:
-        return len(self.offsets) - 1
+    def seal(self, engine: Any) -> None:
+        """Encode the pending chunk into event rows for ``engine``.
 
-    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The stream as int64 arrays (memoized; built once per run)."""
-        if self._arrays is None:
-            self._arrays = (
-                np.array(self.kinds, dtype=np.int64),
-                np.array(self.a1, dtype=np.int64),
-                np.array(self.a2, dtype=np.int64),
+        Each kept entry becomes one ``(kind, p1, p2, delay)`` int row:
+        p1/p2 are the DRAM bank and row (``DRAM.decompose``), the
+        crossbar port and service cycles, or the cycles of a latency
+        step. Latency-only entries touch no shared state, so any that
+        are not the last entry of their walk fold into the ``delay`` of
+        the entry before them (or the walk's leading delay); trailing
+        ones stay real events, since they define the walk's completion
+        time. ``Engine.run_batch`` adds a delay when it re-files the
+        context, so the next entry still executes at its original cycle
+        in its original calendar bucket. The chunk's DRAM/crossbar
+        counts, touched blocks and working-set pairs are accumulated
+        here too, and the pending lists are emptied. Rows are only valid
+        for one DRAM/crossbar geometry; sealing (or running) for another
+        raises ValueError.
+        """
+        geometry = (engine.dram.params, engine.xbar.params.ports)
+        if self._geometry is None:
+            self._geometry = geometry
+        elif geometry != self._geometry:
+            raise ValueError(
+                "TraceBatch was sealed for a different DRAM/crossbar geometry"
             )
-        return self._arrays
+        nwc = len(self.offsets) - 1
+        if nwc == 0:
+            return
+        kinds = np.array(self.kinds, dtype=np.int64)
+        a1 = np.array(self.a1, dtype=np.int64)
+        a2 = np.array(self.a2, dtype=np.int64)
+        off = np.array(self.offsets, dtype=np.int64)
+        self.kinds.clear()
+        self.a1.clear()
+        self.a2.clear()
+        del self.offsets[1:]
+        n = len(kinds)
+
+        dram = engine.dram
+        is_mem = kinds <= K_PREFETCH
+        is_dram = kinds == K_DRAM
+        is_sram = kinds == K_SRAM
+        banks, rows = dram.decompose(a1)
+        p1 = np.where(
+            is_mem, banks,
+            np.where(is_sram, a1 % engine.xbar.params.ports, a1),
+        )
+        p2 = np.where(is_mem, rows, a2)
+        self.mem_count += int(is_mem.sum())
+        self.writes += int((is_dram & (a2 != 0)).sum())
+        self.sram_count += int(is_sram.sum())
+        self.touched_blocks.update((a1[is_mem] // BLOCK_SIZE).tolist())
+
+        # Working-set pairs: (window, block) of every index-region DRAM
+        # entry. Index blocks sit below DATA_BASE // 64 < 2**25; window
+        # ids fit alongside them in an int64 without collision.
+        is_index = is_dram & (a1 < self.data_base)
+        walk_of = np.repeat(
+            np.arange(self._walks, self._walks + nwc, dtype=np.int64),
+            np.diff(off),
+        )
+        self._ws_codes.append(_distinct(
+            ((walk_of[is_index] // self.window) << 36)
+            | (a1[is_index] // BLOCK_SIZE)
+        ))
+
+        is_last = np.zeros(n, dtype=bool)
+        is_last[off[1:][off[1:] > 0] - 1] = True
+        keep = (kinds != K_LATENCY) | is_last
+        # pre[j]: folded latency between kept entry j-1 and kept entry j.
+        ecs = np.concatenate(([0], np.cumsum(np.where(keep, 0, a1))))
+        kept_idx = np.nonzero(keep)[0]
+        pre = np.diff(ecs[kept_idx], prepend=0)
+        kept_off = np.concatenate(([0], np.cumsum(keep)))[off]
+        starts = kept_off[:-1]
+        nonempty = starts < kept_off[1:]
+        leads = np.zeros(nwc, dtype=np.int64)
+        leads[nonempty] = pre[starts[nonempty]]
+        delay = np.zeros(len(kept_idx), dtype=np.int64)
+        delay[:-1] = pre[1:]
+        delay[kept_off[1:][nonempty] - 1] = 0
+        events = np.stack((kinds[keep], p1[keep], p2[keep], delay), axis=1)
+        if events.size and -_INT32 <= events.min() and events.max() < _INT32:
+            # Rows are bank/row/port/cycle numbers: int32 halves the
+            # stream's footprint whenever every value fits.
+            events = events.astype(np.int32)
+        self._events.append(events)
+        self._offsets.append(kept_off[1:] + self._rows)
+        self._leads.append(leads)
+        self._walks += nwc
+        self._rows += len(kept_idx)
+
+    def sealed(self) -> tuple[np.ndarray, list[int], list[int]]:
+        """(event rows, walk offsets, leading delays) of the sealed stream."""
+        if len(self._events) > 1:
+            self._events = [np.concatenate(self._events)]
+        return (
+            self._events[0],
+            np.concatenate(self._offsets).tolist(),
+            np.concatenate(self._leads).tolist(),
+        )
+
+    def windowed_working_set(self, total_index_blocks: int) -> float:
+        """Vectorized twin of ``metrics._windowed_working_set``.
+
+        Distinct index-region DRAM blocks per window of walks, averaged.
+        Every DRAM entry is one 64B block, so distinct (window, block)
+        pairs fall out of one sort over the per-chunk codes; the
+        final fraction average runs in python floats, in window order,
+        so the float result matches the scalar accumulation bit for bit.
+        Call after the last :meth:`seal`.
+        """
+        num_walks = self._walks
+        if total_index_blocks <= 0 or num_walks == 0:
+            return 0.0
+        codes = _distinct(np.concatenate(self._ws_codes))
+        counts = np.bincount(codes >> 36, minlength=-(-num_walks // self.window))
+        fractions = [
+            min(1.0, count / total_index_blocks) for count in counts.tolist()
+        ]
+        return sum(fractions) / len(fractions)
 
     def finish_walk(
         self, request: Any, start_level: int, visited: int,
@@ -120,27 +263,29 @@ class TraceBatch:
 
         Mirrors the scalar epilogue in ``simulate`` exactly — the
         data-object fetch and compute step land after the index trace
-        and are never counted as index DRAM traffic.
+        and are never counted as index DRAM traffic. ``request=None``
+        closes a walk that has no such tail.
         """
-        if request.data_address is not None:
-            address = request.data_address
-            nbytes = request.data_bytes
+        if request is not None:
             kinds = self.kinds
             a1 = self.a1
             a2 = self.a2
-            if nbytes <= BLOCK_SIZE:
-                kinds.append(K_DRAM)
-                a1.append(address)
-                a2.append(0)
-            else:
-                for offset in range(0, nbytes, BLOCK_SIZE):
+            address = request.data_address
+            if address is not None:
+                nbytes = request.data_bytes
+                if nbytes <= BLOCK_SIZE:
                     kinds.append(K_DRAM)
-                    a1.append(address + offset)
+                    a1.append(address)
                     a2.append(0)
-        if request.compute_cycles:
-            self.kinds.append(K_LATENCY)
-            self.a1.append(request.compute_cycles)
-            self.a2.append(0)
+                else:
+                    for offset in range(0, nbytes, BLOCK_SIZE):
+                        kinds.append(K_DRAM)
+                        a1.append(address + offset)
+                        a2.append(0)
+            if request.compute_cycles:
+                kinds.append(K_LATENCY)
+                a1.append(request.compute_cycles)
+                a2.append(0)
         self.offsets.append(len(self.kinds))
         self.start_levels.append(start_level)
         self.visits.append(visited)
@@ -150,7 +295,7 @@ class TraceBatch:
         if full:
             self.full_hits += 1
 
-    def add_trace(self, trace: Any, request: Any) -> None:
+    def add_trace(self, trace: Any, request: Any = None) -> None:
         """Convert one scalar WalkTrace (the per-request fallback path).
 
         Index-region DRAM accesses are counted at Access granularity
@@ -240,11 +385,12 @@ class BatchWalkPlanner:
         # Keyed by t_search: templates bake the search-step latency in.
         self._templates: dict[int, dict[int, tuple]] = {}
         self._walk_templates: dict[int, dict[tuple[int, int], tuple]] = {}
-        # pack_node results per (index_id, block_bytes): packing is pure
-        # in the node's geometry and the index namespace, and the SoA
-        # tree is immutable, so packed entry lists can be reused across
-        # inserts (IXCache.insert never mutates the supplied list).
-        self._packed: dict[tuple[int, int], dict[tuple[int, int], list]] = {}
+        # pack_node results per (index_id, block_bytes), keyed by node
+        # view: packing is pure in the node's geometry and the index
+        # namespace, and the SoA tree is immutable, so packed entry lists
+        # can be reused across inserts (IXCache.insert never mutates the
+        # supplied list).
+        self._packed: dict[tuple[int, int], dict[Any, list]] = {}
 
     def positions(self, keys: np.ndarray) -> np.ndarray:
         return self.tree.batch_positions(keys)
@@ -285,6 +431,26 @@ class BatchWalkPlanner:
             self._blocks[linear] = b
         return b
 
+    def emit(self, batch: TraceBatch, row: list[int], t_search: int) -> None:
+        """Append a full walk's node visits to ``batch``, node by node."""
+        templates = self.template_map(t_search)
+        offsets = self._level_offsets
+        kinds = batch.kinds
+        a1 = batch.a1
+        a2 = batch.a2
+        index_dram = 0
+        for level, pos in enumerate(row):
+            linear = offsets[level] + pos
+            t = templates.get(linear)
+            if t is None:
+                t = self.build_template(level, pos, t_search)
+                templates[linear] = t
+            kinds += t[0]
+            a1 += t[1]
+            a2 += t[2]
+            index_dram += t[3]
+        batch.index_dram += index_dram
+
     def template_map(self, t_search: int) -> dict[int, tuple]:
         m = self._templates.get(t_search)
         if m is None:
@@ -303,9 +469,8 @@ class BatchWalkPlanner:
             nb,
         )
 
-    def packed_map(
-        self, index_id: int, block_bytes: int
-    ) -> dict[tuple[int, int], list]:
+    def packed_map(self, index_id: int, block_bytes: int) -> dict[Any, list]:
+        """``pack_node`` results keyed by the memoized node view."""
         m = self._packed.get((index_id, block_bytes))
         if m is None:
             m = {}
@@ -327,7 +492,7 @@ class BatchWalkPlanner:
         The path below any level is unique per leaf, so the memo key
         ``(base_level, row[-1])`` serves every walk routed through that
         leaf. Returns ``(kinds, a1, a2, index_dram, nodes)`` with
-        ``nodes`` the (level, pos) pairs in visit order for the policy
+        ``nodes`` the memoized node views in visit order for the policy
         loop.
         """
         per_node = self.template_map(t_search)
@@ -350,7 +515,7 @@ class BatchWalkPlanner:
             total += t[3]
             # The memoized node view rides in the template so the policy
             # loop never re-resolves it.
-            nodes.append(((level, pos), self.view(level, pos)))
+            nodes.append(self.view(level, pos))
         return (kinds, a1, a2, total, tuple(nodes))
 
 
@@ -424,39 +589,6 @@ def _plan_chunk(
     return prepared, baseline
 
 
-def _batch_windowed_working_set(
-    batch: TraceBatch, total_index_blocks: int, window: int
-) -> float:
-    """Vectorized twin of ``metrics._windowed_working_set``.
-
-    Distinct index-region DRAM blocks per window of walks, averaged.
-    Every batch DRAM entry is one 64B block, so distinct (window, block)
-    pairs fall out of one ``np.unique`` over an encoded pair array; the
-    final fraction average runs in python floats, in window order, so
-    the float result matches the scalar accumulation bit for bit.
-    """
-    num_walks = batch.num_walks
-    if total_index_blocks <= 0 or num_walks == 0:
-        return 0.0
-    kinds_arr, a1_arr, _ = batch.arrays()
-    offsets = np.array(batch.offsets, dtype=np.int64)
-    walk_of = np.repeat(
-        np.arange(num_walks, dtype=np.int64), np.diff(offsets)
-    )
-    is_index = (kinds_arr == K_DRAM) & (a1_arr < batch.data_base)
-    windows = walk_of[is_index] // window
-    blocks = a1_arr[is_index] // BLOCK_SIZE
-    num_windows = -(-num_walks // window)
-    # Index blocks sit below DATA_BASE // 64 < 2**25; window ids fit
-    # alongside them in an int64 without collision.
-    codes = np.unique((windows << 36) | blocks)
-    counts = np.bincount(codes >> 36, minlength=num_windows)
-    fractions = [
-        min(1.0, count / total_index_blocks) for count in counts.tolist()
-    ]
-    return sum(fractions) / len(fractions)
-
-
 def simulate_batched(
     memsys: MemorySystem,
     requests: list[Any],
@@ -465,15 +597,17 @@ def simulate_batched(
     record_latencies: bool = False,
     working_set_window: int = 2_000,
 ) -> RunResult:
-    """Chunked, vectorized twin of :func:`repro.sim.metrics.simulate`.
+    """Chunked, vectorized twin of the general path of ``simulate``.
 
-    Only reached through the gate there: timed, untraced, fault-free
-    runs with ``sim.walk_batch > 0``. Trace generation goes through the
-    memory system's ``process_chunk`` (native columnar emitters for
-    stream/address/xcache/metal; scalar fallback otherwise), and timing
-    through ``Engine.run_batch``.
+    What :func:`repro.sim.metrics.simulate` runs for every timed,
+    untraced, fault-free run. Trace generation goes through the memory
+    system's ``process_chunk`` (native columnar emitters for
+    stream/address/fa_opt/xcache/metal; scalar fallback otherwise), each
+    chunk of ``sim.walk_batch`` requests is sealed into event rows as
+    soon as it is emitted, and timing runs through ``Engine.run_batch``.
     """
-    batch = TraceBatch()
+    engine = Engine(sim, DRAM(sim.dram))
+    batch = TraceBatch(working_set_window)
     planners: dict[int, BatchWalkPlanner | None] = {}
     baseline_cache: dict[tuple[int, int], int] = {}
     baseline = 0
@@ -483,8 +617,8 @@ def simulate_batched(
         )
         baseline += chunk_baseline
         memsys.process_chunk(batch, part, prepared)
+        batch.seal(engine)
 
-    engine = Engine(sim, DRAM(sim.dram))
     result = engine.run_batch(batch, record_latencies=record_latencies)
     latency_hist = (
         Histogram.from_values(result.walk_latencies)
@@ -515,9 +649,7 @@ def simulate_batched(
         bandwidth_utilization=engine.dram.bandwidth_utilization(
             max(1, result.makespan)
         ),
-        windowed_working_set=_batch_windowed_working_set(
-            batch, total_index_blocks, working_set_window
-        ),
+        windowed_working_set=batch.windowed_working_set(total_index_blocks),
         index_dram_accesses=batch.index_dram,
         baseline_index_accesses=baseline,
         counters=None,

@@ -14,8 +14,6 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.mem.dram import DRAM
 from repro.obs.tracer import NULL_TRACER
 from repro.params import BLOCK_SIZE, SimParams
@@ -84,8 +82,7 @@ class Engine:
         self.dram = dram or DRAM(self.params.dram)
         self.xbar = Crossbar(self.params.xbar)
         self.tracer = NULL_TRACER
-        #: Optional FaultInjector (repro.faults). None on fault-free runs:
-        #: the lean untraced loop is then taken unchanged.
+        #: Optional FaultInjector (repro.faults). None on fault-free runs.
         self.faults = None
 
     def attach_obs(self, tracer, registry=None) -> None:
@@ -110,18 +107,14 @@ class Engine:
         return max(1, self.params.tiles * self.params.tile.walker_contexts)
 
     def run(self, traces: list[WalkTrace], record_latencies: bool = False) -> EngineResult:
-        """Event-driven timed run; returns makespan and walk latencies.
+        """Event-driven timed run over WalkTrace objects: the general loop.
 
-        The tracer-off path (the default) is a separate branch-free loop:
-        no per-access ``tracer.enabled`` checks, hot attributes bound to
-        locals, and no heap traffic while the running context stays the
-        earliest event (``heappushpop`` only when another context is due).
-        Both paths produce identical results — the traced loop keeps the
-        straightforward one-event-per-iteration structure so event
-        ordering is obvious. Faulted runs (``attach_faults``) always take
-        the general loop, tracing on or off, so the injection sites are
-        visited in one canonical order and observability settings cannot
-        perturb the fault schedule.
+        One event per iteration, in ``(cycle, context)`` heap order. This
+        is the home of tracing and fault injection (``attach_obs`` /
+        ``attach_faults``), and the reference the columnar
+        :meth:`run_batch` is held byte-identical to. Faulted runs visit
+        the injection sites in this one canonical order, so observability
+        settings cannot perturb the fault schedule.
         """
         result = EngineResult(num_walks=len(traces))
         if not traces:
@@ -141,21 +134,6 @@ class Engine:
         tracer = self.tracer
         tracing = tracer.enabled
         faults = self.faults
-        engine = self.params.engine
-        if engine not in ("heap", "bucket"):
-            raise ValueError(
-                f"unknown engine {engine!r}; choose 'heap' or 'bucket'"
-            )
-        if not tracing and faults is None:
-            if engine == "bucket":
-                return self._run_bucket(
-                    result, heap, queues, walk_idx, access_idx, walk_start,
-                    record_latencies,
-                )
-            return self._run_untraced(
-                result, heap, queues, walk_idx, access_idx, walk_start,
-                record_latencies,
-            )
         # Walk i sits at queues[i % contexts][i // contexts], so the
         # global walk ordinal is walk_idx * contexts + ctx.
         if tracing:
@@ -298,271 +276,33 @@ class Engine:
             stats.retries += fails
         return now
 
-    def _run_untraced(
-        self,
-        result: EngineResult,
-        heap: list[tuple[int, int]],
-        queues: list[list[WalkTrace]],
-        walk_idx: list[int],
-        access_idx: list[int],
-        walk_start: list[int],
-        record_latencies: bool,
-    ) -> EngineResult:
-        """Lean event loop for NULL_TRACER runs (the bench-matrix path).
-
-        Event-for-event equivalent to the traced loop: the popped context
-        keeps executing inline while its next event is no later than the
-        heap head (the traced formulation re-pushes and immediately
-        re-pops the same entry in that case), and a single ``heappushpop``
-        replaces the push/pop pair when another context is due first.
-        """
-        dram_access = self.dram.access
-        xbar_access = self.xbar.access
-        heappop = heapq.heappop
-        heappushpop = heapq.heappushpop
-        block_size = BLOCK_SIZE
-        latencies = result.walk_latencies
-        total_cycles = 0
-        makespan = 0
-        while heap:
-            now, ctx = heappop(heap)
-            queue = queues[ctx]
-            qi = walk_idx[ctx]
-            accesses = queue[qi].accesses
-            na = len(accesses)
-            ai = access_idx[ctx]
-            while True:
-                if ai < na:
-                    access = accesses[ai]
-                    kind = access.kind
-                    if kind == "dram":
-                        nbytes = access.nbytes
-                        if nbytes <= block_size:
-                            now = dram_access(
-                                access.address, now, write=access.write
-                            )
-                        else:
-                            address = access.address
-                            write = access.write
-                            for offset in range(0, nbytes, block_size):
-                                now = dram_access(
-                                    address + offset, now, write=write
-                                )
-                    elif kind == "sram" and access.port >= 0:
-                        now = xbar_access(access.port, now, access.cycles)
-                    elif kind == "dram_prefetch":
-                        # Bandwidth/occupancy only; never stalls the walker.
-                        nbytes = access.nbytes
-                        if nbytes <= block_size:
-                            dram_access(access.address, now)
-                        else:
-                            address = access.address
-                            for offset in range(0, nbytes, block_size):
-                                dram_access(address + offset, now)
-                    else:
-                        now += access.cycles
-                    ai += 1
-                    if heap:
-                        head = heap[0]
-                        if head[0] < now or (head[0] == now and head[1] < ctx):
-                            access_idx[ctx] = ai
-                            now, ctx = heappushpop(heap, (now, ctx))
-                            queue = queues[ctx]
-                            qi = walk_idx[ctx]
-                            accesses = queue[qi].accesses
-                            na = len(accesses)
-                            ai = access_idx[ctx]
-                else:
-                    # Walk complete. The context continues at the same
-                    # cycle: re-pushing (now, ctx) would pop it right back
-                    # (it was the minimum and context ids are unique).
-                    latency = now - walk_start[ctx]
-                    total_cycles += latency
-                    if record_latencies:
-                        latencies.append(latency)
-                    if now > makespan:
-                        makespan = now
-                    qi += 1
-                    walk_idx[ctx] = qi
-                    walk_start[ctx] = now
-                    if qi < len(queue):
-                        ai = 0
-                        access_idx[ctx] = 0
-                        accesses = queue[qi].accesses
-                        na = len(accesses)
-                    else:
-                        break
-        result.total_walk_cycles = total_cycles
-        result.makespan = makespan
-        return result
-
-    def _run_bucket(
-        self,
-        result: EngineResult,
-        heap: list[tuple[int, int]],
-        queues: list[list[WalkTrace]],
-        walk_idx: list[int],
-        access_idx: list[int],
-        walk_start: list[int],
-        record_latencies: bool,
-    ) -> EngineResult:
-        """Calendar-queue event loop: drain one cycle's bucket in one pass.
-
-        Event-for-event equivalent to the heap loops. Contexts due at the
-        same cycle sit in one bucket and drain in ascending context order
-        — exactly the heap's ``(cycle, ctx)`` tie-break, because only the
-        running context can schedule new events for itself at the current
-        cycle (context ids are unique in the queue, so a bucket never
-        grows while it drains). A context whose next event lands at a
-        later cycle re-files into that cycle's bucket; event times are
-        monotonically non-decreasing, so a popped cycle is never revisited.
-        """
-        dram_access = self.dram.access
-        xbar_access = self.xbar.access
-        heappush = heapq.heappush
-        heappop = heapq.heappop
-        block_size = BLOCK_SIZE
-        latencies = result.walk_latencies
-        total_cycles = 0
-        makespan = 0
-        buckets: dict[int, list[int]] = {0: sorted(c for _, c in heap)}
-        bget = buckets.get
-        times: list[int] = [0]
-        while times:
-            t = heappop(times)
-            bucket = buckets.pop(t)
-            if len(bucket) > 1:
-                bucket.sort()
-            for ctx in bucket:
-                now = t
-                queue = queues[ctx]
-                qi = walk_idx[ctx]
-                accesses = queue[qi].accesses
-                na = len(accesses)
-                ai = access_idx[ctx]
-                while True:
-                    if ai < na:
-                        access = accesses[ai]
-                        kind = access.kind
-                        if kind == "dram":
-                            nbytes = access.nbytes
-                            if nbytes <= block_size:
-                                now = dram_access(
-                                    access.address, now, write=access.write
-                                )
-                            else:
-                                address = access.address
-                                write = access.write
-                                for offset in range(0, nbytes, block_size):
-                                    now = dram_access(
-                                        address + offset, now, write=write
-                                    )
-                        elif kind == "sram" and access.port >= 0:
-                            now = xbar_access(access.port, now, access.cycles)
-                        elif kind == "dram_prefetch":
-                            nbytes = access.nbytes
-                            if nbytes <= block_size:
-                                dram_access(access.address, now)
-                            else:
-                                address = access.address
-                                for offset in range(0, nbytes, block_size):
-                                    dram_access(address + offset, now)
-                        else:
-                            now += access.cycles
-                        ai += 1
-                        if now != t:
-                            # Re-file at the new cycle; intermediate
-                            # cycles (other contexts' events) drain first,
-                            # which is exactly when the heap would switch.
-                            access_idx[ctx] = ai
-                            walk_idx[ctx] = qi
-                            other = bget(now)
-                            if other is None:
-                                buckets[now] = [ctx]
-                                heappush(times, now)
-                            else:
-                                other.append(ctx)
-                            break
-                    else:
-                        # Walk complete; the context continues at the
-                        # same cycle (matching the heap loops).
-                        latency = now - walk_start[ctx]
-                        total_cycles += latency
-                        if record_latencies:
-                            latencies.append(latency)
-                        if now > makespan:
-                            makespan = now
-                        qi += 1
-                        walk_start[ctx] = now
-                        if qi < len(queue):
-                            ai = 0
-                            accesses = queue[qi].accesses
-                            na = len(accesses)
-                        else:
-                            walk_idx[ctx] = qi
-                            break
-        result.total_walk_cycles = total_cycles
-        result.makespan = makespan
-        return result
-
     def run_batch(self, batch, record_latencies: bool = False) -> EngineResult:
         """Time a columnar access stream (``repro.sim.batch.TraceBatch``).
 
-        The batch pipeline's twin of :meth:`run` for untraced, fault-free
-        runs: walk boundaries come from ``batch.offsets`` instead of
-        WalkTrace objects, block -> (bank, row) decomposition and crossbar
-        port hashing are vectorized up front (``DRAM.decompose``), and
-        scheduling uses the calendar queue of :meth:`_run_bucket`. Every
-        number written to ``self.dram.stats`` / ``self.xbar`` and the
-        returned EngineResult is byte-identical to the scalar path on the
+        The loop every timed, untraced, fault-free run takes. Walk ``w``
+        is the sealed event rows ``batch`` encoded for this engine
+        (``TraceBatch.seal``): one ``(kind, p1, p2, delay)`` row per
+        event with the DRAM bank/row and crossbar port already resolved,
+        and latency-only steps folded into the preceding row's ``delay``.
+        A context expands one walk's rows into a short list when it
+        starts the walk, so nothing run-length stays in Python objects.
+
+        Scheduling is a calendar queue: contexts due at the same cycle
+        share one bucket and drain in ascending context order — exactly
+        the ``(cycle, ctx)`` pop order of :meth:`run`'s heap, because only
+        the running context schedules new events at the current cycle.
+        A folded delay is applied when the context is re-filed, so every
+        DRAM/crossbar access keeps its original cycle and global order.
+        Every number written to ``self.dram.stats`` / ``self.xbar`` and the
+        returned EngineResult is byte-identical to :meth:`run` on the
         equivalent WalkTrace list.
         """
-        offsets = batch.offsets
+        batch.seal(self)
+        events, offsets, leads = batch.sealed()
         nw = len(offsets) - 1
         result = EngineResult(num_walks=nw)
         if nw == 0:
             return result
-        kinds = batch.kinds
-        kinds_arr, a1, a2 = batch.arrays()
-        is_mem = kinds_arr <= K_PREFETCH
-        banks_arr, rows_arr = self.dram.decompose(a1)
-        ports = self.xbar.params.ports
-        # Per-entry operands, pre-decomposed: p1 = bank / port / cycles,
-        # p2 = row / service cycles (numpy scalars are slow to index from
-        # the loop, so both drop to plain python lists).
-        p1_arr = np.where(
-            is_mem, banks_arr,
-            np.where(kinds_arr == K_SRAM, a1 % ports, a1),
-        )
-        p2_arr = np.where(is_mem, rows_arr, a2)
-        # Latency-only entries touch no shared state (no bank, no port),
-        # so any that are not the last entry of their walk fold into a
-        # *pre-delay* on the following entry. The delay is applied when
-        # the context is re-filed — the successor still executes at its
-        # original cycle, in its original calendar bucket, so every
-        # DRAM/crossbar access keeps its exact global order and the
-        # result stays byte-identical. Trailing latency entries remain
-        # real events (they define the walk's completion time).
-        off_arr = np.asarray(offsets, dtype=np.int64)
-        is_last = np.zeros(len(kinds_arr), dtype=bool)
-        is_last[off_arr[1:] - 1] = True
-        movable = (kinds_arr == K_LATENCY) & ~is_last
-        if movable.any():
-            vals = np.where(movable, a1, 0)
-            ecs = np.concatenate(([0], np.cumsum(vals)))
-            keep = ~movable
-            kept_idx = np.nonzero(keep)[0]
-            pre = np.diff(ecs[kept_idx], prepend=0).tolist()
-            keep_cum = np.concatenate(([0], np.cumsum(keep)))
-            offsets = keep_cum[off_arr].tolist()
-            events = list(zip(
-                kinds_arr[keep].tolist(),
-                p1_arr[keep].tolist(),
-                p2_arr[keep].tolist(),
-            ))
-        else:
-            pre = [0] * len(kinds_arr)
-            events = list(zip(kinds, p1_arr.tolist(), p2_arr.tolist()))
 
         dram = self.dram
         t_access = dram._t_access
@@ -579,26 +319,22 @@ class Engine:
         latencies = result.walk_latencies
 
         contexts = self.contexts
-        active = list(range(min(contexts, nw)))
         walk_id = list(range(contexts))
+        rows_l: list[list] = [[]] * contexts
         ai_l = [0] * contexts
-        end_l = [0] * contexts
         start_l = [0] * contexts
         buckets: dict[int, list[int]] = {}
         bget = buckets.get
         times: list[int] = []
-        for c in active:
-            ai = offsets[c]
-            end = offsets[c + 1]
-            ai_l[c] = ai
-            end_l[c] = end
+        for c in range(min(contexts, nw)):
+            rows_l[c] = events[offsets[c]:offsets[c + 1]].tolist()
             # A folded leading latency schedules the context's first real
             # event at its original cycle (walk start time stays 0).
-            s = pre[ai] if ai < end else 0
-            other = buckets.get(s)
+            s = leads[c]
+            other = bget(s)
             if other is None:
                 buckets[s] = [c]
-                heapq.heappush(times, s)
+                heappush(times, s)
             else:
                 other.append(c)
         energy = 0.0
@@ -614,11 +350,12 @@ class Engine:
                 bucket.sort()
             for ctx in bucket:
                 now = t
+                rows = rows_l[ctx]
+                end = len(rows)
                 ai = ai_l[ctx]
-                end = end_l[ctx]
                 while True:
                     if ai < end:
-                        k, x, y = events[ai]
+                        k, x, y, d = rows[ai]
                         if k == 0:  # dram (stalls the walker)
                             s = bank_free[x]
                             if s < now:
@@ -656,8 +393,7 @@ class Engine:
                                 open_row[x] = y
                             bank_free[x] = s + t_occupancy
                         ai += 1
-                        if ai < end:
-                            now += pre[ai]
+                        now += d
                         if now != t:
                             ai_l[ctx] = ai
                             other = bget(now)
@@ -668,6 +404,8 @@ class Engine:
                                 other.append(ctx)
                             break
                     else:
+                        # Walk complete; the context continues at the
+                        # same cycle with its next walk, if any.
                         latency = now - start_l[ctx]
                         total_cycles += latency
                         if record_latencies:
@@ -675,41 +413,35 @@ class Engine:
                         if now > makespan:
                             makespan = now
                         w = walk_id[ctx] + contexts
-                        if w < nw:
-                            walk_id[ctx] = w
-                            start_l[ctx] = now
-                            ai = offsets[w]
-                            end = offsets[w + 1]
-                            end_l[ctx] = end
-                            if ai < end:
-                                now += pre[ai]
-                                if now != t:
-                                    ai_l[ctx] = ai
-                                    other = bget(now)
-                                    if other is None:
-                                        buckets[now] = [ctx]
-                                        heappush(times, now)
-                                    else:
-                                        other.append(ctx)
-                                    break
-                        else:
+                        if w >= nw:
+                            rows_l[ctx] = []
+                            break
+                        walk_id[ctx] = w
+                        start_l[ctx] = now
+                        rows = events[offsets[w]:offsets[w + 1]].tolist()
+                        rows_l[ctx] = rows
+                        end = len(rows)
+                        ai = 0
+                        now += leads[w]
+                        if now != t:
+                            ai_l[ctx] = 0
+                            other = bget(now)
+                            if other is None:
+                                buckets[now] = [ctx]
+                                heappush(times, now)
+                            else:
+                                other.append(ctx)
                             break
 
         stats = dram.stats
-        mem_count = int(is_mem.sum())
-        writes = int(((kinds_arr == K_DRAM) & (a2 != 0)).sum())
-        stats.reads += mem_count - writes
-        stats.writes += writes
-        stats.bytes_moved += BLOCK_SIZE * mem_count
+        stats.reads += batch.mem_count - batch.writes
+        stats.writes += batch.writes
+        stats.bytes_moved += BLOCK_SIZE * batch.mem_count
         stats.energy_fj += energy
         stats.row_hits += row_hits
         stats.row_misses += row_misses
-        if dram._block_shift is not None:
-            blocks = a1[is_mem] >> dram._block_shift
-        else:
-            blocks = a1[is_mem] // BLOCK_SIZE
-        stats.touched_blocks.update(blocks.tolist())
-        self.xbar.requests += int((kinds_arr == K_SRAM).sum())
+        stats.touched_blocks.update(batch.touched_blocks)
+        self.xbar.requests += batch.sram_count
         self.xbar.total_wait += xbar_wait
         result.total_walk_cycles = total_cycles
         result.makespan = makespan

@@ -20,7 +20,10 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from collections.abc import Callable, Iterable, Sequence
 from functools import lru_cache
+from itertools import chain
 from typing import Any
+
+import numpy as np
 
 from repro.core.descriptors import LevelDescriptor, WalkContext
 from repro.core.ix_cache import _UTILITY_MAX, _entry_level
@@ -214,14 +217,6 @@ class MemorySystem(ABC):
     def cache_stats(self) -> CacheStats | None:
         return None
 
-    @property
-    def cache_accesses(self) -> int:
-        stats = self.cache_stats
-        return stats.accesses if stats is not None else 0
-
-    def _search(self) -> Access:
-        return self._search_step
-
 
 class StreamingMemSys(MemorySystem):
     """No index reuse: each visited node is a DRAM fetch (Aurochs/SJoin)."""
@@ -241,28 +236,12 @@ class StreamingMemSys(MemorySystem):
 
     def process_chunk(self, batch: Any, requests: list[Any], prepared: list[Any]) -> None:
         t_search = self.sim.t_search
-        kinds = batch.kinds
-        a1 = batch.a1
-        a2 = batch.a2
         for request, prep in zip(requests, prepared):
             if prep is None:
                 self._fallback_walk(batch, request)
                 continue
             planner, row = prep
-            templates = planner.template_map(t_search)
-            offsets = planner._level_offsets
-            index_dram = 0
-            for level, pos in enumerate(row):
-                linear = offsets[level] + pos
-                t = templates.get(linear)
-                if t is None:
-                    t = planner.build_template(level, pos, t_search)
-                    templates[linear] = t
-                kinds += t[0]
-                a1 += t[1]
-                a2 += t[2]
-                index_dram += t[3]
-            batch.index_dram += index_dram
+            planner.emit(batch, row, t_search)
             batch.finish_walk(request, 0, planner.height, False, False)
 
 
@@ -461,7 +440,7 @@ class FAOPTMemSys(MemorySystem):
 
     def __init__(
         self,
-        walk_blocks: list[list[int]],
+        walk_blocks: list[Sequence[int]],
         hit_flags: list[bool],
         sim: SimParams | None = None,
     ) -> None:
@@ -479,16 +458,48 @@ class FAOPTMemSys(MemorySystem):
         cache_params: CacheParams | None = None,
         sim: SimParams | None = None,
     ) -> "FAOPTMemSys":
-        """Two-pass construction from (index, key) walk requests."""
+        """Two-pass construction from (index, key) walk requests.
+
+        Walks over SoA indexes resolve through the batch planner's
+        vectorized positions; the block sequence of a walk depends only
+        on its leaf (the root-to-leaf path is unique), so walks sharing
+        a leaf share one tuple. Other indexes walk scalar.
+        """
+        from repro.sim.batch import _planner_for  # avoid an import cycle
+
         params = cache_params or CacheParams()
-        walk_blocks: list[list[int]] = []
-        flat: list[int] = []
-        for index, key in requests:
-            blocks = []
-            for node in index.walk(key):
-                blocks.extend(addr // BLOCK_SIZE for addr in _node_blocks(node))
-            walk_blocks.append(blocks)
-            flat.extend(blocks)
+        pairs = list(requests)
+        walk_blocks: list[Sequence[int]] = [()] * len(pairs)
+        planners: dict[int, Any] = {}
+        groups: dict[int, tuple[Any, list[int]]] = {}
+        for i, (index, key) in enumerate(pairs):
+            planner = _planner_for(index, planners)
+            if planner is None:
+                walk_blocks[i] = [
+                    addr // BLOCK_SIZE
+                    for node in index.walk(key)
+                    for addr in _node_blocks(node)
+                ]
+            else:
+                groups.setdefault(id(index), (planner, []))[1].append(i)
+        for planner, members in groups.values():
+            keys = np.fromiter(
+                (pairs[i][1] for i in members), dtype=np.int64,
+                count=len(members),
+            )
+            rows = planner.positions(keys)
+            by_leaf: dict[int, tuple[int, ...]] = {}
+            for j, leaf in enumerate(rows[:, -1].tolist()):
+                blocks = by_leaf.get(leaf)
+                if blocks is None:
+                    blocks = tuple(
+                        addr // BLOCK_SIZE
+                        for level, pos in enumerate(rows[j].tolist())
+                        for addr in planner.blocks(level, pos)
+                    )
+                    by_leaf[leaf] = blocks
+                walk_blocks[members[j]] = blocks
+        flat = np.fromiter(chain.from_iterable(walk_blocks), dtype=np.int64)
         flags = belady_hit_flags(flat, params.entries)
         return cls(walk_blocks, flags, sim)
 
@@ -515,8 +526,60 @@ class FAOPTMemSys(MemorySystem):
             if not hit:
                 self.stats.insertions += 1
                 accesses.append(Access("dram", block * BLOCK_SIZE, BLOCK_SIZE))
-            accesses.append(self._search())
+            accesses.append(self._search_step)
         return WalkTrace(key, accesses, start_level=0, nodes_visited=len(blocks))
+
+    def process_chunk(self, batch: Any, requests: list[Any], prepared: list[Any]) -> None:
+        # process_walk's emission straight from the precomputed OPT
+        # flags: same entries, same stats, no WalkTrace. Range scans go
+        # through the scalar fallback, which advances the same cursors.
+        t_probe = self.sim.t_fa_probe
+        t_search = self.sim.t_search
+        data_base = batch.data_base
+        walk_blocks = self._walk_blocks
+        flags = self._flags
+        kinds = batch.kinds
+        a1 = batch.a1
+        a2 = batch.a2
+        hits = 0
+        misses = 0
+        for request in requests:
+            if request.scan_hi is not None:
+                self._fallback_walk(batch, request)
+                continue
+            cursor = self._walk_cursor
+            if cursor >= len(walk_blocks):
+                raise IndexError("FA-OPT replayed more walks than prepared")
+            self._walk_cursor = cursor + 1
+            blocks = walk_blocks[cursor]
+            fc = self._flag_cursor
+            self._flag_cursor = fc + len(blocks)
+            index_dram = 0
+            for block in blocks:
+                kinds.append(K_SRAM)
+                a1.append(block)
+                a2.append(t_probe)
+                if flags[fc]:
+                    hits += 1
+                else:
+                    misses += 1
+                    address = block * BLOCK_SIZE
+                    kinds.append(K_DRAM)
+                    a1.append(address)
+                    a2.append(0)
+                    if address < data_base:
+                        index_dram += 1
+                fc += 1
+                kinds.append(K_LATENCY)
+                a1.append(t_search)
+                a2.append(0)
+            batch.index_dram += index_dram
+            batch.finish_walk(request, 0, len(blocks), False, False)
+        stats = self.stats
+        stats.accesses += hits + misses
+        stats.hits += hits
+        stats.misses += misses
+        stats.insertions += misses
 
 
 class XCacheMemSys(MemorySystem):
@@ -590,21 +653,8 @@ class XCacheMemSys(MemorySystem):
                     request, getattr(leaf, "level", 0), 0, True, True
                 )
                 continue
-            templates = planner.template_map(t_search)
-            offsets = planner._level_offsets
-            index_dram = 0
-            for level, pos in enumerate(row):
-                linear = offsets[level] + pos
-                t = templates.get(linear)
-                if t is None:
-                    t = planner.build_template(level, pos, t_search)
-                    templates[linear] = t
-                kinds += t[0]
-                a1 += t[1]
-                a2 += t[2]
-                index_dram += t[3]
+            planner.emit(batch, row, t_search)
             insert(ns_key, planner.view(planner.height - 1, row[-1]))
-            batch.index_dram += index_dram
             batch.finish_walk(request, 0, planner.height, False, False)
 
 
@@ -743,9 +793,6 @@ class MetalMemSys(MemorySystem):
         kinds = batch.kinds
         a1 = batch.a1
         a2 = batch.a2
-        b_offsets = batch.offsets
-        b_start_levels = batch.start_levels
-        b_visits = batch.visits
         cur_planner = None  # memoized map lookups (one index per chunk
         cur_index = -1      # in the common case)
         wt_map: Any = None
@@ -754,9 +801,6 @@ class MetalMemSys(MemorySystem):
         accesses = 0
         hits = 0
         index_dram = 0
-        nodes_visited = 0
-        shorts = 0
-        fulls = 0
         for request, prep in zip(requests, prepared):
             if prep is None:
                 self._fallback_walk(batch, request)
@@ -858,11 +902,11 @@ class MetalMemSys(MemorySystem):
                 # Greedy insert-all (METAL-IX, or no governing
                 # descriptor): PatternController.decide returns
                 # INSERT_ALL without counting insertions.
-                for lp, node in nodes:
-                    packed = packed_map.get(lp)
+                for node in nodes:
+                    packed = packed_map.get(node)
                     if packed is None:
                         packed = pack_node(node, ns, block_bytes)
-                        packed_map[lp] = packed
+                        packed_map[node] = packed
                     cache_insert(node, ns, key=ns_key, packed=packed)
             elif type(descriptor) is LevelDescriptor:
                 # LevelDescriptor.decide inlined: it only ever returns the
@@ -877,8 +921,8 @@ class MetalMemSys(MemorySystem):
                 frontier_walk = short and descriptor.frontier
                 admit = descriptor._filter.admit
                 position = 0
-                for lp, node in nodes:
-                    level = lp[0]
+                for node in nodes:
+                    level = node.level
                     if level < d_start or level > d_end or level >= height:
                         ins = False
                     elif frontier_walk:
@@ -892,10 +936,10 @@ class MetalMemSys(MemorySystem):
                             ctrl_tracer.emit(
                                 "desc_decision", level=level,
                                 insert=True, life=0)
-                        packed = packed_map.get(lp)
+                        packed = packed_map.get(node)
                         if packed is None:
                             packed = pack_node(node, ns, block_bytes)
-                            packed_map[lp] = packed
+                            packed_map[node] = packed
                         cache_insert(node, ns, key=ns_key, packed=packed)
                     else:
                         if ctrl_enabled:
@@ -910,8 +954,8 @@ class MetalMemSys(MemorySystem):
                 ctrl_enabled = ctrl_tracer.enabled
                 decide = descriptor.decide
                 position = 0
-                for lp, node in nodes:
-                    level = lp[0]
+                for node in nodes:
+                    level = node.level
                     ctx = (ctx_row[position] if position < _CTX_MAX
                            else WalkContext(short, position))
                     position += 1
@@ -922,10 +966,10 @@ class MetalMemSys(MemorySystem):
                             ctrl_tracer.emit(
                                 "desc_decision", level=level,
                                 insert=True, life=decision.life)
-                        packed = packed_map.get(lp)
+                        packed = packed_map.get(node)
                         if packed is None:
                             packed = pack_node(node, ns, block_bytes)
-                            packed_map[lp] = packed
+                            packed_map[node] = packed
                         cache_insert(node, ns, life=decision.life,
                                      key=ns_key, packed=packed)
                     else:
@@ -940,41 +984,19 @@ class MetalMemSys(MemorySystem):
                 walks = controller._walks_in_batch + 1
                 controller._walks_in_batch = walks
                 if walks >= controller.batch_walks:
+                    # The batch feedback reads the live cache stats.
+                    cache_stats.accesses += accesses
+                    cache_stats.hits += hits
+                    cache_stats.misses += accesses - hits
+                    accesses = hits = 0
                     controller._finish_batch()
-            # TraceBatch.finish_walk inlined (same appends, same order).
-            address = request.data_address
-            if address is not None:
-                nbytes = request.data_bytes
-                if nbytes <= BLOCK_SIZE:
-                    kinds.append(K_DRAM)
-                    a1.append(address)
-                    a2.append(0)
-                else:
-                    for tail in range(0, nbytes, BLOCK_SIZE):
-                        kinds.append(K_DRAM)
-                        a1.append(address + tail)
-                        a2.append(0)
-            compute = request.compute_cycles
-            if compute:
-                kinds.append(K_LATENCY)
-                a1.append(compute)
-                a2.append(0)
-            b_offsets.append(len(kinds))
-            b_start_levels.append(start_level)
-            visited = len(nodes)
-            b_visits.append(visited)
-            nodes_visited += visited
-            if short:
-                shorts += 1
-                if not nodes:
-                    fulls += 1
+            batch.finish_walk(
+                request, start_level, len(nodes), short, short and not nodes
+            )
         cache_stats.accesses += accesses
         cache_stats.hits += hits
         cache_stats.misses += accesses - hits
         batch.index_dram += index_dram
-        batch.nodes_visited += nodes_visited
-        batch.short_circuited += shorts
-        batch.full_hits += fulls
 
     def _scan_leaf(self, index: Any, leaf: IndexNode, accesses: list[Access]) -> None:
         ns = namespace_fn(index)

@@ -328,11 +328,12 @@ def simulate(
         memsys.attach_faults(injector)
         if tracing:
             injector.attach_obs(registry)
-    if timed and sim.walk_batch > 0 and not tracing and injector is None:
-        # Vectorized batch pipeline (contractually byte-identical; see
-        # repro.sim.batch). Traced and faulted runs always stay on the
-        # scalar path below so injection sites and event attribution
-        # keep one canonical order.
+    if timed and not tracing and injector is None:
+        # The columnar batch pipeline (repro.sim.batch). Traced and
+        # faulted runs stay on the scalar path below, whose general
+        # engine loop keeps one canonical order for injection sites and
+        # event attribution, and which the batch path is held
+        # byte-identical to.
         from repro.sim.batch import simulate_batched
 
         return simulate_batched(

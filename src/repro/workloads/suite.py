@@ -10,11 +10,11 @@ Key sequences come from chunked :class:`~repro.workloads.stream.KeyStream`
 generators that replicate the eager ``keygen`` lists bit for bit (the
 committed baselines pin this), so building a paper-scale workload never
 materializes a 10M-element Python list. The B+tree-backed workloads
-(scan / select / where / join) additionally accept ``backend="soa"`` to
-store the index as per-level numpy arrays (:mod:`repro.indexes.soa`) with
-a byte-identical address layout, and ``max_walks`` to cap the request
-stream to an exact prefix — together these are what make 1x-scale runs
-fit in RAM.
+(scan / select / where / join) store their index as per-level numpy
+arrays (:mod:`repro.indexes.soa`, ``backend="soa"``, the default) with
+the address layout of the object-graph B+tree (``backend="object"``),
+and accept ``max_walks`` to cap the request stream to an exact prefix —
+together these are what make 1x-scale runs fit in RAM.
 
 Table 2 mapping:
 
@@ -136,7 +136,7 @@ def _depth_fanout(num_keys: int, depth: int) -> int:
 
 
 def _make_table(
-    num_records: int, depth: int, seed: int = 0, backend: str = "object"
+    num_records: int, depth: int, seed: int = 0, backend: str = "soa"
 ) -> RecordTable | SoARecordTable:
     fanout = _depth_fanout(num_records, depth)
     if backend == "soa":
@@ -178,14 +178,14 @@ def _sweep_band(height: int) -> LevelDescriptor:
 def build_scan(
     scale: float = 1.0,
     seed: int = 0,
-    backend: str = "object",
+    backend: str = "soa",
     max_walks: int | None = None,
 ) -> Workload:
     """Random-search point lookups over a deep B+tree (Table 2: Scan).
 
     Table 2 uses a 10-level, 10M-key B+tree; the default scale keeps the
     10-level depth at ~100x fewer keys by shrinking the fan-out, and
-    ``scale=PAPER_SCALE`` with ``backend="soa"`` reproduces the paper's
+    ``scale=PAPER_SCALE`` on the SoA backend reproduces the paper's
     size in-RAM. ``max_walks`` truncates the Zipf key stream to an exact
     prefix (the full-stream rank permutation is preserved), bounding
     simulation time independently of index size.
@@ -306,7 +306,7 @@ def build_spmm(scale: float = 1.0, seed: int = 0, deep: bool = True) -> Workload
 def build_analytics_select(
     scale: float = 1.0,
     seed: int = 0,
-    backend: str = "object",
+    backend: str = "soa",
     max_walks: int | None = None,
 ) -> Workload:
     """Nested SELECT BETWEEN range queries (Fig. 18: Nest.SEL)."""
@@ -334,7 +334,7 @@ def build_analytics_select(
 def build_analytics_where(
     scale: float = 1.0,
     seed: int = 0,
-    backend: str = "object",
+    backend: str = "soa",
     max_walks: int | None = None,
 ) -> Workload:
     """Data-dependent WHERE-clause probes (Fig. 18: WHERE)."""
@@ -367,7 +367,7 @@ def build_analytics_where(
 
 
 def build_analytics_join(
-    scale: float = 1.0, seed: int = 0, depth: int = 8, backend: str = "object"
+    scale: float = 1.0, seed: int = 0, depth: int = 8, backend: str = "soa"
 ) -> Workload:
     """Index nested-loop JOIN over two B+trees (Fig. 18: JOIN).
 

@@ -1,17 +1,20 @@
-"""Bucket-queue calendar engine vs the heap engine: exact equivalence.
+"""Calendar-queue batch loop vs the general heap loop: exact equivalence.
 
-The bucket engine (``SimParams.engine="bucket"``) drains contexts from
-per-cycle calendar buckets in ascending context order — exactly the
-(cycle, ctx) order the heap pops. These properties hammer tie-heavy
-schedules (many contexts due at the same cycle, zero-latency compute
-steps, bank conflicts) where any ordering divergence would surface as a
-different row-hit sequence or makespan.
+``Engine.run_batch`` drains contexts from per-cycle calendar buckets in
+ascending context order — exactly the (cycle, ctx) order the general
+``Engine.run`` heap pops — over a sealed columnar ``TraceBatch`` with
+latency-only steps folded into delays. These properties hammer
+tie-heavy schedules (many contexts due at the same cycle, zero-latency
+compute steps, bank conflicts) where any ordering divergence would
+surface as a different row-hit sequence or makespan.
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.mem.dram import DRAM
 from repro.params import DRAMParams, SimParams, TileParams
+from repro.sim.batch import TraceBatch
 from repro.sim.engine import Access, Engine, WalkTrace
 
 
@@ -39,13 +42,19 @@ def _walks(spec):
     return traces
 
 
-def _engine(kind, contexts):
+def _engine(contexts):
     return Engine(SimParams(
-        engine=kind,
         dram=DRAMParams(),
         tile=TileParams(walker_contexts=contexts),
         tiles=1,
     ), DRAM())
+
+
+def _run_batch(engine, traces):
+    batch = TraceBatch()
+    for trace in traces:
+        batch.add_trace(trace)
+    return engine.run_batch(batch, record_latencies=True)
 
 
 TIE_HEAVY_SPEC = st.lists(
@@ -60,15 +69,15 @@ TIE_HEAVY_SPEC = st.lists(
 def test_property_bucket_matches_heap_exactly(spec, contexts):
     """Same walks, same contexts: every result and stat is identical."""
     traces = _walks(spec)
-    heap_eng = _engine("heap", contexts)
+    heap_eng = _engine(contexts)
     heap_res = heap_eng.run(traces, record_latencies=True)
-    bucket_eng = _engine("bucket", contexts)
-    bucket_res = bucket_eng.run(traces, record_latencies=True)
+    bucket_eng = _engine(contexts)
+    bucket_res = _run_batch(bucket_eng, traces)
 
     assert bucket_res.makespan == heap_res.makespan
     assert bucket_res.total_walk_cycles == heap_res.total_walk_cycles
-    # Latencies must match per-walk, not merely in aggregate: the bucket
-    # engine pops contexts in exactly heap order.
+    # Latencies must match per-walk, not merely in aggregate: the
+    # calendar pops contexts in exactly heap order.
     assert bucket_res.walk_latencies == heap_res.walk_latencies
 
     hs, bs = heap_eng.dram.stats, bucket_eng.dram.stats
@@ -77,6 +86,7 @@ def test_property_bucket_matches_heap_exactly(spec, contexts):
     assert (bs.reads, bs.writes) == (hs.reads, hs.writes)
     assert bs.touched_blocks == hs.touched_blocks
     assert bucket_eng.xbar.total_wait == heap_eng.xbar.total_wait
+    assert bucket_eng.xbar.requests == heap_eng.xbar.requests
 
 
 @settings(max_examples=25, deadline=None)
@@ -88,17 +98,19 @@ def test_property_all_ties_single_cycle_compute(spec):
         WalkTrace(i, [Access("compute", cycles=1) for _ in accesses])
         for i, accesses in enumerate(spec)
     ]
-    heap_res = _engine("heap", 4).run(traces, record_latencies=True)
-    bucket_res = _engine("bucket", 4).run(traces, record_latencies=True)
+    heap_res = _engine(4).run(traces, record_latencies=True)
+    bucket_res = _run_batch(_engine(4), traces)
     assert bucket_res.walk_latencies == heap_res.walk_latencies
     assert bucket_res.makespan == heap_res.makespan
 
 
 def test_unknown_engine_rejected():
-    eng = Engine(SimParams(engine="wheel"))
-    try:
-        eng.run([WalkTrace(0, [Access("compute", cycles=1)])])
-    except ValueError as exc:
-        assert "wheel" in str(exc)
-    else:
-        raise AssertionError("expected ValueError for unknown engine")
+    """The engine= knob is gone: passing one fails loudly, not silently."""
+    with pytest.raises(TypeError, match="engine"):
+        SimParams(engine="wheel")
+
+
+@pytest.mark.parametrize("walk_batch", (0, -1))
+def test_walk_batch_below_one_rejected(walk_batch):
+    with pytest.raises(ValueError, match="walk_batch"):
+        SimParams(walk_batch=walk_batch)

@@ -1,5 +1,6 @@
 """CLI observability paths: profile subcommand, dropped-event warning,
-shared system validation, and percentile columns in compare."""
+shared system and --walk-batch validation, and percentile columns in
+compare."""
 
 import json
 
@@ -35,6 +36,31 @@ class TestSystemValidation:
                    "--systems", "stream,address_l2"])
         assert rc == 0
         assert "address_l2" in capsys.readouterr().out
+
+
+class TestWalkBatchValidation:
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_walk_batch_below_one_exits_2(self, value, capsys):
+        rc = main(["compare", "scan", "--scale", "0.02",
+                   "--systems", "stream", "--walk-batch", value])
+        assert rc == 2
+        captured = capsys.readouterr()
+        err = captured.err.strip()
+        assert err == f"--walk-batch must be >= 1, got {value}"
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+    def test_walk_batch_accepted(self, capsys):
+        rc = main(["compare", "scan", "--scale", "0.02",
+                   "--systems", "stream", "--walk-batch", "7"])
+        assert rc == 0
+        assert "stream" in capsys.readouterr().out
+
+    def test_engine_flag_removed(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["compare", "scan", "--engine", "bucket"])
+        assert exc.value.code == 2
+        assert "--engine" in capsys.readouterr().err
 
 
 class TestDroppedWarning:

@@ -66,24 +66,24 @@ def test_no_fault_matrix_byte_identical(workloads, workload_name, system):
 
 
 def test_untraced_fast_path_taken_when_fault_free(workloads, monkeypatch):
-    """faults=None must still dispatch to the lean untraced engine loop."""
+    """faults=None must dispatch to the columnar batch loop."""
     from repro.sim import engine as engine_mod
 
     calls = []
-    original = engine_mod.Engine._run_untraced
+    original = engine_mod.Engine.run_batch
 
     def spy(self, *args, **kwargs):
         calls.append(True)
         return original(self, *args, **kwargs)
 
-    monkeypatch.setattr(engine_mod.Engine, "_run_untraced", spy)
+    monkeypatch.setattr(engine_mod.Engine, "run_batch", spy)
     workload = workloads["scan"]
     run_dict(workload, "metal", None)
-    assert calls, "fault-free untraced run bypassed the lean loop"
+    assert calls, "fault-free untraced run bypassed the batch loop"
     # ... and a faulted run must NOT take it (one canonical site order).
     calls.clear()
     run_dict(workload, "metal", FaultPlan.uniform(0.05))
-    assert not calls, "faulted run took the lean loop (schedule would fork)"
+    assert not calls, "faulted run took the batch loop (schedule would fork)"
 
 
 def test_faulted_run_differs_and_carries_ledger(workloads):

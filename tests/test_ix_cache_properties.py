@@ -8,7 +8,9 @@ example-based tests:
 * ``probe(key)`` always returns the deepest resident node covering ``key``,
 * eviction/invalidation never leaves a dangling or malformed entry in the
   utility table (every entry keeps live parts, sane counters, and
-  capacity bounds).
+  capacity bounds),
+* every set list and the wide list stay seq-ascending, which makes the
+  default policy's one-pass victim equal ``select_victim``'s choice.
 
 Nodes come from real bulk-loaded B+trees so the inserted ranges have the
 disjointness structure the hardware would see.
@@ -16,7 +18,9 @@ disjointness structure the hardware would see.
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core.ix_cache import _UTILITY_MAX, IXCache
+from repro.core.ix_cache import _UTILITY_MAX, IXCache, IXEntry, _default_victim
+from repro.core.policy import UtilityRRIPPolicy
+from repro.core.range_tag import RangeTag
 from repro.indexes.bplustree import BPlusTree
 from repro.params import BLOCK_SIZE, CacheParams
 
@@ -179,3 +183,54 @@ class TestEvictionIntegrity:
             assert entry.tag.hi < lo or entry.tag.lo > hi
         live_nodes = {id(node) for node in tree.nodes()}
         check_structural_invariants(cache, live_nodes)
+
+
+def check_default_victim(entries) -> None:
+    """The one-pass victim equals UtilityRRIPPolicy.select_victim."""
+    unpinned = [e for e in entries if e.life <= 0]
+    at = _default_victim(entries)
+    if not unpinned:
+        assert at == -1
+    else:
+        assert entries[at] is UtilityRRIPPolicy().select_victim(unpinned)
+
+
+class TestOnePassEviction:
+    """The default policy's one-pass eviction rests on seq-ascending lists."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(keys=keys_strategy, fanout=st.integers(2, 8),
+           churn=st.lists(st.integers(0, 5000), min_size=5, max_size=80),
+           lives=st.lists(st.integers(0, 4), min_size=5, max_size=80),
+           coalesce=st.booleans(),
+           dirty=st.lists(st.integers(0, 5000), max_size=4))
+    def test_lists_seq_ascending_and_fast_victim_matches_policy(
+        self, keys, fanout, churn, lives, coalesce, dirty
+    ):
+        tree = build_tree(sorted(set(keys)), fanout)
+        cache = IXCache(TINY, key_block_bits=4, coalesce=coalesce)
+        for step, (key, life) in enumerate(
+            zip(churn, lives + [0] * len(churn))
+        ):
+            for node in tree.walk(key):
+                cache.insert(node, life=life)
+            cache.probe(key)
+            if dirty and step % 7 == 3:
+                lo = dirty[step % len(dirty)]
+                cache.invalidate_range(lo, lo + 64)
+            for entries in [*cache._sets, cache._wide]:
+                seqs = [e.seq for e in entries]
+                assert seqs == sorted(seqs)
+                assert len(set(seqs)) == len(seqs)
+                check_default_victim(entries)
+
+    @settings(max_examples=60, deadline=None)
+    @given(state=st.lists(st.tuples(st.integers(0, _UTILITY_MAX),
+                                    st.integers(0, 3)), max_size=16))
+    def test_fast_victim_matches_policy_on_any_ascending_list(self, state):
+        entries = []
+        for utility, life in state:
+            entry = IXEntry(RangeTag(0, 1, 0), [], life=life, nbytes=0)
+            entry.utility = utility
+            entries.append(entry)
+        check_default_victim(entries)

@@ -26,7 +26,51 @@ def lru_hits(trace, capacity):
     return hits
 
 
+def reference_belady_flags(trace, capacity):
+    """Straightforward OPT: per-block next-use stacks + lazy max-heap."""
+    import heapq
+    from collections import defaultdict
+
+    if capacity <= 0:
+        return [False] * len(trace)
+    next_use = defaultdict(list)
+    for pos in reversed(range(len(trace))):
+        next_use[trace[pos]].append(pos)
+    resident = set()
+    heap = []
+    flags = []
+    infinity = len(trace) + 1
+    for block in trace:
+        uses = next_use[block]
+        uses.pop()
+        upcoming = uses[-1] if uses else infinity
+        if block in resident:
+            flags.append(True)
+        else:
+            flags.append(False)
+            if len(resident) >= capacity:
+                while heap:
+                    neg_pos, victim = heapq.heappop(heap)
+                    victim_uses = next_use[victim]
+                    actual = victim_uses[-1] if victim_uses else infinity
+                    if victim in resident and -neg_pos == actual:
+                        resident.discard(victim)
+                        break
+            resident.add(block)
+        heapq.heappush(heap, (-upcoming, block))
+    return flags
+
+
 class TestBeladyFlags:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        trace=st.lists(st.integers(0, 40), max_size=200),
+        capacity=st.integers(0, 12),
+    )
+    def test_matches_reference(self, trace, capacity):
+        assert belady_hit_flags(trace, capacity) == (
+            reference_belady_flags(trace, capacity))
+
     def test_empty_trace(self):
         assert belady_hit_flags([], 4) == []
 

@@ -2,7 +2,7 @@
 
 The PR-level gate is byte-identity of the full bench matrix; these tests
 pin the individual algebraic rewrites (memoized block footprints, DRAM
-shift/mask address decomposition, the lean untraced engine loop) against
+shift/mask address decomposition, traced vs untraced runs) against
 straightforward reference arithmetic so a regression is localized to one
 function instead of "somewhere in the report".
 """
